@@ -2,7 +2,8 @@
 //! rewire accelerates.
 //!
 //! `graph/*` times the representation itself — freezing an access
-//! graph and streaming swap deltas through an [`ArrangementEval`] —
+//! graph, building the same CSR in one pass from raw ids, and
+//! streaming swap deltas through an [`ArrangementEval`] —
 //! while `algo/*` times the three inner-loop consumers whose medians
 //! the regression gate tracks: greedy insertion (the former worst
 //! offender), simulated annealing, and windowed local search.
@@ -17,7 +18,7 @@ use dwm_graph::{ArrangementEval, CsrGraph};
 fn main() {
     let mut h = Harness::from_env("graph");
     for n in [64usize, 256, 1024] {
-        let (_, graph) = markov_fixture(n);
+        let (trace, graph) = markov_fixture(n);
 
         // A batch of independent freezes, fanned over the workers, so
         // the t1/t4 medians show both the single-freeze cost and that
@@ -25,6 +26,16 @@ fn main() {
         let batch = [&graph, &graph, &graph, &graph];
         h.bench_threads(&format!("graph/csr_build/{n}"), || {
             par::par_map(&batch, |g| CsrGraph::freeze(black_box(g)).num_edges())
+        });
+
+        // The one-pass `/solve` keying build, straight from raw ids,
+        // batched like the freezes above.
+        let ids: Vec<u32> = trace.iter().map(|a| a.item.0).collect();
+        let id_batch = [&ids, &ids, &ids, &ids];
+        h.bench_threads(&format!("graph/csr_from_ids/{n}"), || {
+            par::par_map(&id_batch, |ids| {
+                CsrGraph::from_ids(black_box(ids)).0.num_edges()
+            })
         });
 
         let csr = CsrGraph::freeze(&graph);

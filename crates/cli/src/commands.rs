@@ -809,6 +809,7 @@ fn cmd_serve(args: &ParsedArgs) -> CommandResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn run(line: &str) -> CommandResult {
         let args = ParsedArgs::parse(line.split_whitespace().map(String::from))
@@ -816,8 +817,17 @@ mod tests {
         dispatch(&args)
     }
 
+    /// A fresh path in the temp dir, unique per call (pid plus a
+    /// process-wide counter), so tests running in parallel never
+    /// share — and delete — each other's files.
+    fn temp_path(suffix: &str) -> std::path::PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("dwmplace_{}_{n}_{suffix}", std::process::id()))
+    }
+
     fn temp_trace() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("dwmplace_test_{}.trace", std::process::id()));
+        let path = temp_path("test.trace");
         let trace = ZipfGen::new(32, 5).generate(2000);
         trace_io::save_text(&trace, &path).expect("temp file writable");
         path
@@ -903,8 +913,7 @@ mod tests {
     #[test]
     fn trace_profile_then_synth_round_trips() {
         let path = temp_trace();
-        let profile_path =
-            std::env::temp_dir().join(format!("dwmplace_test_{}.profile.json", std::process::id()));
+        let profile_path = temp_path("test.profile.json");
         let out = run(&format!(
             "trace profile {} --out {}",
             path.display(),
@@ -929,8 +938,7 @@ mod tests {
         assert!(trace.label().starts_with("profiled-32"));
 
         // --out streams to a file and reports instead of dumping.
-        let out_path =
-            std::env::temp_dir().join(format!("dwmplace_test_{}.synth.trace", std::process::id()));
+        let out_path = temp_path("test.synth.trace");
         let msg = run(&format!(
             "trace synth --profile {} --len 500 --out {}",
             profile_path.display(),
@@ -960,10 +968,7 @@ mod tests {
         assert_eq!(run("trace frobnicate").unwrap_err().code, CliError::USAGE);
         assert_eq!(run("trace synth").unwrap_err().code, CliError::USAGE);
         let path = temp_trace();
-        let profile_path = std::env::temp_dir().join(format!(
-            "dwmplace_usage_{}.profile.json",
-            std::process::id()
-        ));
+        let profile_path = temp_path("usage.profile.json");
         run(&format!(
             "trace profile {} --out {}",
             path.display(),
@@ -988,7 +993,7 @@ mod tests {
                 .code,
             CliError::IO
         );
-        let path = std::env::temp_dir().join(format!("dwmplace_badp_{}.json", std::process::id()));
+        let path = temp_path("badp.json");
         std::fs::write(&path, "{ nope").unwrap();
         let err = run(&format!("trace synth --profile {}", path.display())).unwrap_err();
         assert_eq!(err.code, CliError::MALFORMED);
@@ -1000,7 +1005,7 @@ mod tests {
 
     #[test]
     fn malformed_trace_file_is_a_malformed_input_error() {
-        let path = std::env::temp_dir().join(format!("dwmplace_bad_{}.trace", std::process::id()));
+        let path = temp_path("bad.trace");
         std::fs::write(&path, "r 1\nnot a trace line\n").unwrap();
         let err = run(&format!("stats {}", path.display())).unwrap_err();
         assert_eq!(err.code, CliError::MALFORMED);
@@ -1011,7 +1016,7 @@ mod tests {
     #[test]
     fn malformed_placement_json_is_a_malformed_input_error() {
         let trace = temp_trace();
-        let path = std::env::temp_dir().join(format!("dwmplace_bad_{}.json", std::process::id()));
+        let path = temp_path("bad.json");
         std::fs::write(&path, "{ definitely not json").unwrap();
         let err = run(&format!("eval {} {}", trace.display(), path.display())).unwrap_err();
         assert_eq!(err.code, CliError::MALFORMED);
@@ -1034,10 +1039,7 @@ mod tests {
     #[test]
     fn place_reports_reduction_and_saves() {
         let path = temp_trace();
-        let out_path = std::env::temp_dir().join(format!(
-            "dwmplace_test_{}.placement.json",
-            std::process::id()
-        ));
+        let out_path = temp_path("test.placement.json");
         let out = run(&format!(
             "place {} --algorithm hybrid --out {}",
             path.display(),
@@ -1126,10 +1128,7 @@ mod tests {
     #[test]
     fn eval_accepts_a_topology() {
         let path = temp_trace();
-        let out_path = std::env::temp_dir().join(format!(
-            "dwmplace_topo_{}.placement.json",
-            std::process::id()
-        ));
+        let out_path = temp_path("topo.placement.json");
         run(&format!(
             "place {} --out {}",
             path.display(),

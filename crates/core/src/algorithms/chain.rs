@@ -1,6 +1,6 @@
 use std::collections::VecDeque;
 
-use dwm_graph::AccessGraph;
+use dwm_graph::{AccessGraph, CsrGraph, Edge};
 
 use crate::algorithms::frequency::OrganPipe;
 use crate::algorithms::PlacementAlgorithm;
@@ -45,9 +45,11 @@ pub(crate) struct Chains {
     pub chains: Vec<VecDeque<usize>>,
 }
 
-pub(crate) fn grow_chains(graph: &AccessGraph) -> Chains {
+/// Greedy chain merging over `n` items and their `edges` (each edge
+/// once, `u < v`, in lexicographic order — what both
+/// [`AccessGraph::edges`] and [`CsrGraph::edges`] yield).
+pub(crate) fn grow_chains(n: usize, edges: impl Iterator<Item = Edge>) -> Chains {
     const NONE: usize = usize::MAX;
-    let n = graph.num_items();
     assert!(n <= 1 << 32, "item ids must fit the packed u32 edge key");
 
     // Heaviest first; ties in (u, v) lexicographic order for
@@ -55,8 +57,7 @@ pub(crate) fn grow_chains(graph: &AccessGraph) -> Chains {
     // the high bits (so ascending order means descending weight),
     // then `u`, then `v` — turning every comparison into a single
     // branchless integer compare instead of a three-field tuple walk.
-    let mut edges: Vec<u128> = graph
-        .edges()
+    let mut edges: Vec<u128> = edges
         .map(|e| (u128::from(!e.weight) << 64) | (e.u as u128) << 32 | e.v as u128)
         .collect();
     edges.sort_unstable();
@@ -154,8 +155,23 @@ pub(crate) fn grow_chains(graph: &AccessGraph) -> Chains {
 }
 
 /// Total access frequency of a chain (for ordering).
-fn chain_weight(graph: &AccessGraph, chain: &VecDeque<usize>) -> u64 {
-    chain.iter().map(|&v| graph.frequency(v)).sum()
+fn chain_weight(frequencies: &[u64], chain: &VecDeque<usize>) -> u64 {
+    chain
+        .iter()
+        .map(|&v| frequencies.get(v).copied().unwrap_or(0))
+        .sum()
+}
+
+/// Sorts chains heaviest-first, ties by front item. Cached keys: the
+/// weight sum is O(chain length), too heavy to recompute on every
+/// comparison.
+fn sort_heaviest_first(chains: &mut [VecDeque<usize>], frequencies: &[u64]) {
+    chains.sort_by_cached_key(|c| {
+        (
+            std::cmp::Reverse(chain_weight(frequencies, c)),
+            c.front().copied().unwrap_or(0),
+        )
+    });
 }
 
 impl PlacementAlgorithm for ChainGrowth {
@@ -164,16 +180,9 @@ impl PlacementAlgorithm for ChainGrowth {
     }
 
     fn place(&self, graph: &AccessGraph) -> Placement {
-        let mut chains = grow_chains(graph).chains;
+        let mut chains = grow_chains(graph.num_items(), graph.edges()).chains;
         // Concatenate heaviest-first (hot chains near the port end).
-        // Cached keys: `chain_weight` is O(chain length), too heavy to
-        // recompute on every comparison.
-        chains.sort_by_cached_key(|c| {
-            (
-                std::cmp::Reverse(chain_weight(graph, c)),
-                c.front().copied().unwrap_or(0),
-            )
-        });
+        sort_heaviest_first(&mut chains, graph.frequencies());
         let order: Vec<usize> = chains.into_iter().flatten().collect();
         Placement::from_order(order)
     }
@@ -193,42 +202,63 @@ impl PlacementAlgorithm for ChainGrowth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupedChainGrowth;
 
+impl GroupedChainGrowth {
+    /// [`place`](PlacementAlgorithm::place) on a frozen graph with its
+    /// per-item `frequencies` — no [`AccessGraph`] needed. Same
+    /// algorithm, same inputs in the same order, so the placement is
+    /// identical to placing the graph `csr` was frozen from.
+    pub fn place_csr(&self, csr: &CsrGraph, frequencies: &[u64]) -> Placement {
+        grouped_order(csr.num_items(), csr.edges(), frequencies, |u, v| {
+            csr.weight(u, v)
+        })
+    }
+}
+
 impl PlacementAlgorithm for GroupedChainGrowth {
     fn name(&self) -> String {
         "grouped-chain".into()
     }
 
     fn place(&self, graph: &AccessGraph) -> Placement {
-        let mut chains = grow_chains(graph).chains;
-        // Sort chains by descending weight, then arrange in organ-pipe
-        // profile at chain granularity (cached keys: the weight sum is
-        // O(chain length)).
-        chains.sort_by_cached_key(|c| {
-            (
-                std::cmp::Reverse(chain_weight(graph, c)),
-                c.front().copied().unwrap_or(0),
-            )
-        });
-        let piped = OrganPipe::pipe_order(chains);
-
-        // Concatenate, flipping each chain if that strengthens the
-        // junction with the previously placed item.
-        let mut order: Vec<usize> = Vec::with_capacity(graph.num_items());
-        for chain in piped {
-            if let Some(&prev) = order.last() {
-                let front = *chain.front().expect("chains are nonempty");
-                let back = *chain.back().expect("chains are nonempty");
-                let keep = graph.weight(prev, front);
-                let flip = graph.weight(prev, back);
-                if flip > keep {
-                    order.extend(chain.into_iter().rev());
-                    continue;
-                }
-            }
-            order.extend(chain);
-        }
-        Placement::from_order(order)
+        grouped_order(
+            graph.num_items(),
+            graph.edges(),
+            graph.frequencies(),
+            |u, v| graph.weight(u, v),
+        )
     }
+}
+
+/// The one implementation of [`GroupedChainGrowth`], generic over how
+/// the graph is stored: `n` items, their `edges` in lexicographic
+/// order, per-item `frequencies`, and an edge-weight lookup.
+fn grouped_order(
+    n: usize,
+    edges: impl Iterator<Item = Edge>,
+    frequencies: &[u64],
+    weight: impl Fn(usize, usize) -> u64,
+) -> Placement {
+    let mut chains = grow_chains(n, edges).chains;
+    // Sort chains by descending weight, then arrange in organ-pipe
+    // profile at chain granularity.
+    sort_heaviest_first(&mut chains, frequencies);
+    let piped = OrganPipe::pipe_order(chains);
+
+    // Concatenate, flipping each chain if that strengthens the
+    // junction with the previously placed item.
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    for chain in piped {
+        if let Some(&prev) = order.last() {
+            let front = *chain.front().expect("chains are nonempty");
+            let back = *chain.back().expect("chains are nonempty");
+            if weight(prev, back) > weight(prev, front) {
+                order.extend(chain.into_iter().rev());
+                continue;
+            }
+        }
+        order.extend(chain);
+    }
+    Placement::from_order(order)
 }
 
 #[cfg(test)]
@@ -255,7 +285,7 @@ mod tests {
     #[test]
     fn grow_chains_covers_every_item_once() {
         let g = kernel_graph();
-        let chains = grow_chains(&g).chains;
+        let chains = grow_chains(g.num_items(), g.edges()).chains;
         let mut seen = vec![false; g.num_items()];
         for c in &chains {
             for &v in c {

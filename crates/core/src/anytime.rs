@@ -5,10 +5,12 @@
 //! finding better arrangements for as long as it is allowed to run.
 //! This module productizes that spectrum as three named tiers:
 //!
-//! * **Tier 0 ([`Tier::Fast`])** — the greedy CSR fast path: freeze
-//!   the graph once, run grouped chain growth, and keep the better of
-//!   it and the naive identity order. Never worse than naive, by
-//!   construction.
+//! * **Tier 0 ([`Tier::Fast`])** — the greedy CSR fast path: grouped
+//!   chain growth on the frozen graph, keeping the better of it and the
+//!   naive identity order. Never worse than naive, by construction.
+//!   Tiers 0 and 1 need only the CSR and the item frequencies
+//!   ([`AnytimeSolver::solve_csr`]), so a caller that keyed a workload
+//!   straight to CSR never builds an `AccessGraph` for them.
 //! * **Tier 1 ([`Tier::Refined`])** — tier 0 refined by windowed
 //!   [`LocalSearch`] under an explicit pass budget, so a caller's
 //!   remaining deadline translates directly into refinement effort.
@@ -210,20 +212,42 @@ impl AnytimeSolver {
         passes: usize,
     ) -> AnytimeOutcome {
         match tier {
-            Tier::Fast => self.tier0(graph, csr),
-            Tier::Refined => self.tier1(graph, csr, passes),
+            Tier::Fast => self.tier0(csr, graph.frequencies()),
+            Tier::Refined => self.tier1(csr, graph.frequencies(), passes),
             Tier::Thorough => self.tier2(graph, csr),
             Tier::Exact => self.tier_exact(graph, csr),
+        }
+    }
+
+    /// [`solve`](Self::solve) on a frozen graph and its per-item
+    /// access counts alone. Tiers 0 and 1 run on the CSR directly;
+    /// only tiers 2 and 3, whose portfolio members still consume an
+    /// [`AccessGraph`], thaw one ([`AccessGraph::from_csr`]). Same
+    /// outcome as solving the graph `csr` was frozen from.
+    pub fn solve_csr(
+        &self,
+        csr: &CsrGraph,
+        frequencies: &[u64],
+        tier: Tier,
+        passes: usize,
+    ) -> AnytimeOutcome {
+        match tier {
+            Tier::Fast => self.tier0(csr, frequencies),
+            Tier::Refined => self.tier1(csr, frequencies, passes),
+            Tier::Thorough | Tier::Exact => {
+                let graph = AccessGraph::from_csr(csr, frequencies);
+                self.solve_frozen(&graph, csr, tier, passes)
+            }
         }
     }
 
     /// Greedy CSR fast path: grouped chain growth vs the naive
     /// identity, cheaper one wins (identity wins ties, preserving the
     /// never-worse-than-naive guarantee).
-    fn tier0(&self, graph: &AccessGraph, csr: &CsrGraph) -> AnytimeOutcome {
-        let identity = Placement::identity(graph.num_items());
+    fn tier0(&self, csr: &CsrGraph, frequencies: &[u64]) -> AnytimeOutcome {
+        let identity = Placement::identity(csr.num_items());
         let naive = csr.arrangement_cost(identity.offsets());
-        let greedy = GroupedChainGrowth.place(graph);
+        let greedy = GroupedChainGrowth.place_csr(csr, frequencies);
         let greedy_cost = csr.arrangement_cost(greedy.offsets());
         let (placement, cost) = if greedy_cost < naive {
             (greedy, greedy_cost)
@@ -239,8 +263,8 @@ impl AnytimeSolver {
     }
 
     /// Tier 0 refined by windowed local search under `passes`.
-    fn tier1(&self, graph: &AccessGraph, csr: &CsrGraph, passes: usize) -> AnytimeOutcome {
-        let mut out = self.tier0(graph, csr);
+    fn tier1(&self, csr: &CsrGraph, frequencies: &[u64], passes: usize) -> AnytimeOutcome {
+        let mut out = self.tier0(csr, frequencies);
         let budget = passes.clamp(1, MAX_PASSES);
         LocalSearch::new(budget)
             .with_window(TIER1_WINDOW)
@@ -263,13 +287,13 @@ impl AnytimeSolver {
         let mut candidates: Vec<Candidate<'_>> = vec![
             (
                 "windowed-ls",
-                Box::new(|| self.tier1(graph, csr, MAX_PASSES).placement),
+                Box::new(|| self.tier1(csr, graph.frequencies(), MAX_PASSES).placement),
             ),
             ("hybrid", Box::new(|| Hybrid::default().place(graph))),
             (
                 "annealing",
                 Box::new(|| {
-                    let start = self.tier0(graph, csr).placement;
+                    let start = self.tier0(csr, graph.frequencies()).placement;
                     let mut p = SimulatedAnnealing::new(self.seed).place_frozen(csr, start);
                     refiner.refine_frozen(csr, &mut p);
                     p

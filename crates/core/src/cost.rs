@@ -11,7 +11,7 @@ use dwm_device::shift::{nearest_port_plan, single_port_distance};
 use dwm_device::{
     PortLayout, ShiftStats, Topology, TopologyReplayer, TrackTopology, TypedPortLayout,
 };
-use dwm_graph::AccessGraph;
+use dwm_graph::{AccessGraph, Edge};
 use dwm_trace::Trace;
 
 use crate::placement::Placement;
@@ -250,9 +250,15 @@ impl TopologyCost {
     /// (circular for ring, Manhattan-weighted for grids, windowed for
     /// PIRM).
     pub fn graph_cost(&self, placement: &Placement, graph: &AccessGraph) -> u64 {
+        self.edges_cost(placement, graph.edges())
+    }
+
+    /// [`graph_cost`](Self::graph_cost) over any edge iterator, e.g.
+    /// [`CsrGraph::edges`](dwm_graph::CsrGraph::edges) — the one
+    /// evaluation both graph representations share.
+    pub fn edges_cost(&self, placement: &Placement, edges: impl Iterator<Item = Edge>) -> u64 {
         let pos = placement.offsets();
-        graph
-            .edges()
+        edges
             .map(|e| {
                 e.weight
                     * self

@@ -7,7 +7,9 @@
 //! [`CsrGraph`] is the read-only counterpart: the same graph flattened
 //! into three arrays (compressed sparse row), built once at solver
 //! entry and immutable thereafter. Mutation stays on [`AccessGraph`];
-//! freezing is a one-way, one-time step.
+//! freezing is a one-way, one-time step. A caller holding only raw ids
+//! skips the `BTreeMap` stage entirely: [`CsrGraph::from_ids`] builds
+//! the same frozen graph in one pass (the `/solve` keying path).
 //!
 //! [`ArrangementEval`] layers incremental cost evaluation on top: it
 //! tracks a placement and its arrangement cost, answers
@@ -18,6 +20,7 @@
 //! the evaluator cannot change its decisions (see
 //! `tests/csr_equivalence.rs`).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::{AccessGraph, Edge};
@@ -85,14 +88,93 @@ impl CsrGraph {
         CsrGraph::from_parts(row_offsets, neighbors, weights)
     }
 
+    /// Builds the frozen access graph of a raw id sequence in one pass,
+    /// with no [`AccessGraph`] in between. Returns the graph and the
+    /// per-item access counts.
+    ///
+    /// Ids are remapped densely in first-appearance order — exactly the
+    /// order [`Trace::normalize`](dwm_trace::Trace::normalize) assigns —
+    /// so the result equals
+    /// `CsrGraph::freeze(&AccessGraph::from_trace(&Trace::from_ids(ids).normalize()))`
+    /// and its frequencies, and fingerprints identically. Each
+    /// transition between distinct items is scattered into both
+    /// endpoint rows (a counting sort by row), then every row collapses
+    /// through a per-row accumulator, so only the distinct neighbours of
+    /// a row get sorted. `O(len + n + Σ d·log d)` time; memory is linear
+    /// in `ids.len()` and never in the largest id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `u32::MAX` neighbour entries.
+    pub fn from_ids(ids: &[u32]) -> (Self, Vec<u64>) {
+        let (dense, frequencies) = dense_remap(ids);
+        let n = frequencies.len();
+        // Row starts: each transition u→v (u ≠ v) lands once in row u
+        // and once in row v.
+        let mut start = vec![0usize; n + 1];
+        for pair in dense.windows(2) {
+            if pair[0] != pair[1] {
+                start[pair[0] as usize + 1] += 1;
+                start[pair[1] as usize + 1] += 1;
+            }
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut slots = vec![0u32; start[n]];
+        let mut cursor = start[..n].to_vec();
+        for pair in dense.windows(2) {
+            let (u, v) = (pair[0], pair[1]);
+            if u != v {
+                slots[cursor[u as usize]] = v;
+                cursor[u as usize] += 1;
+                slots[cursor[v as usize]] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        drop(dense);
+        // Collapse each row in place: its distinct neighbours compact
+        // to the front of the buffer, get sorted, and take their counts
+        // as weights. The write index never passes the read index, so
+        // the store can be unconditional (a repeat is overwritten by
+        // the next new neighbour) and the loop stays branch-free.
+        let mut count = vec![0u64; n];
+        let mut row_offsets = Vec::with_capacity(n + 1);
+        let mut weights = Vec::new();
+        let mut w = 0usize;
+        row_offsets.push(0u32);
+        for u in 0..n {
+            let row = w;
+            for i in start[u]..start[u + 1] {
+                let v = slots[i];
+                let seen = &mut count[v as usize];
+                slots[w] = v;
+                w += usize::from(*seen == 0);
+                *seen += 1;
+            }
+            slots[row..w].sort_unstable();
+            for &v in &slots[row..w] {
+                weights.push(std::mem::take(&mut count[v as usize]));
+            }
+            row_offsets.push(u32::try_from(w).expect("edge count exceeds u32"));
+        }
+        slots.truncate(w);
+        (
+            CsrGraph::from_parts(row_offsets, slots, weights),
+            frequencies,
+        )
+    }
+
     /// Assembles a CSR graph from already-flattened rows (ascending
     /// neighbours per vertex, each undirected edge present from both
     /// endpoints). All caches — degrees, total weight, cut masks, the
     /// interleaved rows — are derived here, exactly as [`freeze`] would,
     /// so two routes to the same adjacency produce equal graphs. Used by
-    /// [`freeze`] and by [`crate::delta::DeltaGraph::refreeze`].
+    /// [`freeze`], [`from_ids`] and by
+    /// [`crate::delta::DeltaGraph::refreeze`].
     ///
     /// [`freeze`]: CsrGraph::freeze
+    /// [`from_ids`]: CsrGraph::from_ids
     pub(crate) fn from_parts(
         row_offsets: Vec<u32>,
         neighbors: Vec<u32>,
@@ -264,6 +346,39 @@ impl CsrGraph {
         }
         cut
     }
+}
+
+/// Remaps raw ids to dense first-appearance ids (the
+/// [`Trace::normalize`](dwm_trace::Trace::normalize) order) and counts
+/// each item's accesses. Ids come from outside the program, so a flat
+/// lookup table is used only while the largest id is small next to the
+/// trace length (the table then costs at most a few words per access);
+/// sparse ids go through a hash map instead. Memory never grows with
+/// the largest id alone.
+fn dense_remap(ids: &[u32]) -> (Vec<u32>, Vec<u64>) {
+    const UNSEEN: u32 = u32::MAX;
+    let mut dense = Vec::with_capacity(ids.len());
+    let mut frequencies: Vec<u64> = Vec::new();
+    let mut assign = |slot: &mut u32| {
+        if *slot == UNSEEN {
+            *slot = frequencies.len() as u32;
+            frequencies.push(0);
+        }
+        frequencies[*slot as usize] += 1;
+        *slot
+    };
+    let max = ids.iter().copied().max().unwrap_or(0) as usize;
+    if max < 4 * ids.len() + 4096 {
+        let mut table = vec![UNSEEN; max + 1];
+        dense.extend(ids.iter().map(|&id| assign(&mut table[id as usize])));
+    } else {
+        let mut table: HashMap<u32, u32> = HashMap::new();
+        dense.extend(
+            ids.iter()
+                .map(|&id| assign(table.entry(id).or_insert(UNSEEN))),
+        );
+    }
+    (dense, frequencies)
 }
 
 /// One reversible move recorded by [`ArrangementEval`].

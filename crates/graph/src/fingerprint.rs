@@ -132,26 +132,19 @@ pub fn fingerprint(graph: &AccessGraph) -> Fingerprint {
     fingerprint_csr(&CsrGraph::freeze(graph), graph.frequencies())
 }
 
-/// Fingerprints a graph *under a track topology*: the same adjacency
+/// Folds a track topology into a base fingerprint: the same adjacency
 /// structure solved for different geometries is a different placement
 /// problem, so cache keys must not alias across topologies.
 ///
 /// `topology` is the canonical parameter string (`"linear"`,
 /// `"ring"`, `"grid2d:4x16"`, `"pirm:4"` — see the topology subsystem
 /// in `dwm-device`; this crate takes the string so it stays
-/// device-agnostic). The linear topology is the identity: its
-/// fingerprint equals [`fingerprint`], preserving every persisted cache
-/// key and pinned hash from before topologies existed. Any other
-/// canonical string remixes the base fingerprint with the string's
-/// bytes, so distinct topologies (and distinct parameters of the same
-/// topology) get distinct identities.
-pub fn fingerprint_topology(graph: &AccessGraph, topology: &str) -> Fingerprint {
-    fingerprint_retag(fingerprint(graph), topology)
-}
-
-/// The remix step of [`fingerprint_topology`], for callers that already
-/// hold a base fingerprint (e.g. the incrementally maintained graphs in
-/// `dwm-serve` sessions). `"linear"` is the identity.
+/// device-agnostic). The linear topology is the identity: the result
+/// equals `base`, preserving every persisted cache key and pinned hash
+/// from before topologies existed. Any other canonical string remixes
+/// the base fingerprint with the string's bytes, so distinct topologies
+/// (and distinct parameters of the same topology) get distinct
+/// identities.
 pub fn fingerprint_retag(base: Fingerprint, topology: &str) -> Fingerprint {
     if topology == "linear" {
         return base;
@@ -240,7 +233,10 @@ mod tests {
     #[test]
     fn linear_topology_fingerprint_is_the_identity() {
         let g = graph_of(&[0, 1, 0, 2, 1, 2]);
-        assert_eq!(fingerprint_topology(&g, "linear"), fingerprint(&g));
+        assert_eq!(
+            fingerprint_retag(fingerprint(&g), "linear"),
+            fingerprint(&g)
+        );
     }
 
     #[test]
@@ -249,7 +245,7 @@ mod tests {
         let tags = ["ring", "grid2d:4x16", "grid2d:8x8", "pirm:4", "pirm:8"];
         let mut fps: Vec<Fingerprint> = vec![fingerprint(&g)];
         for t in tags {
-            fps.push(fingerprint_topology(&g, t));
+            fps.push(fingerprint_retag(fingerprint(&g), t));
         }
         for i in 0..fps.len() {
             for j in (i + 1)..fps.len() {
@@ -258,14 +254,14 @@ mod tests {
         }
         // Deterministic: same graph + tag, same identity.
         assert_eq!(
-            fingerprint_topology(&g, "ring"),
-            fingerprint_topology(&g, "ring")
+            fingerprint_retag(fingerprint(&g), "ring"),
+            fingerprint_retag(fingerprint(&g), "ring")
         );
         // Still sensitive to the graph.
         let other = graph_of(&[0, 1, 0, 2, 1, 2, 1]);
         assert_ne!(
-            fingerprint_topology(&g, "ring"),
-            fingerprint_topology(&other, "ring")
+            fingerprint_retag(fingerprint(&g), "ring"),
+            fingerprint_retag(fingerprint(&other), "ring")
         );
     }
 

@@ -2,6 +2,8 @@ use std::collections::BTreeMap;
 
 use dwm_trace::Trace;
 
+use crate::csr::CsrGraph;
+
 /// One weighted undirected edge of an [`AccessGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
@@ -58,6 +60,24 @@ impl AccessGraph {
             }
         }
         g
+    }
+
+    /// Thaws a frozen graph back into adjacency maps, with `frequencies`
+    /// as the vertex weights — the inverse of
+    /// [`CsrGraph::freeze`]. Each CSR row is already sorted, so every
+    /// map is bulk-loaded rather than built by repeated insertion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frequencies.len() != csr.num_items()`.
+    pub fn from_csr(csr: &CsrGraph, frequencies: &[u64]) -> Self {
+        assert_eq!(frequencies.len(), csr.num_items(), "one frequency per item");
+        AccessGraph {
+            adj: (0..csr.num_items())
+                .map(|u| csr.neighbors(u).collect())
+                .collect(),
+            frequency: frequencies.to_vec(),
+        }
     }
 
     /// Number of items (vertices).

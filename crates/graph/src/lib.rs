@@ -41,7 +41,7 @@ mod graph;
 
 pub use csr::{ArrangementEval, CsrGraph};
 pub use delta::DeltaGraph;
-pub use fingerprint::{fingerprint, fingerprint_retag, fingerprint_topology, Fingerprint};
+pub use fingerprint::{fingerprint, fingerprint_csr, fingerprint_retag, Fingerprint};
 pub use graph::{AccessGraph, Edge};
 
 /// Registers this crate's metrics in the
@@ -55,7 +55,7 @@ pub fn register_obs_metrics() {
 pub mod prelude {
     pub use crate::generators::{clustered_graph, path_graph, random_graph};
     pub use crate::{
-        fingerprint, fingerprint_topology, AccessGraph, ArrangementEval, CsrGraph, DeltaGraph,
-        Edge, Fingerprint,
+        fingerprint, fingerprint_retag, AccessGraph, ArrangementEval, CsrGraph, DeltaGraph, Edge,
+        Fingerprint,
     };
 }

@@ -31,8 +31,7 @@ use dwm_device::TrackTopology;
 use dwm_foundation::json::{Number, Object, Value};
 use dwm_foundation::net::{Request, Response};
 use dwm_foundation::obs;
-use dwm_graph::{fingerprint_topology, AccessGraph};
-use dwm_trace::Trace;
+use dwm_graph::{fingerprint_csr, fingerprint_retag, CsrGraph};
 
 use crate::engine::{Engine, EngineConfig};
 use crate::protocol::{parse_body, parse_topology, parse_workloads};
@@ -155,9 +154,8 @@ impl Cluster {
         let topology = parse_topology(&obj).ok()?;
         let workloads = parse_workloads(&obj).ok()?;
         let ids = workloads.first()?;
-        let trace = Trace::from_ids(ids.iter().copied()).normalize();
-        let graph = AccessGraph::from_trace(&trace);
-        let fp = fingerprint_topology(&graph, &topology.canonical());
+        let (csr, frequencies) = CsrGraph::from_ids(ids);
+        let fp = fingerprint_retag(fingerprint_csr(&csr, &frequencies), &topology.canonical());
         Some(self.ring_shard(fp.hi ^ fp.lo))
     }
 

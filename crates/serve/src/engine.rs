@@ -7,17 +7,24 @@
 //!
 //! # The solve pipeline
 //!
-//! 1. Each workload's id sequence is canonicalized
-//!    (`Trace::normalize`) and condensed to its access graph — the
-//!    exact structure every placement algorithm consumes.
-//! 2. The graph is hashed with [`fn@dwm_graph::fingerprint`], with the
-//!    request's track topology folded in (the identity for linear —
-//!    see [`fn@dwm_graph::fingerprint_topology`]); the
-//!    `(fingerprint, algorithm, seed)` triple keys the
-//!    [`SolveCache`].
+//! 1. Each workload's raw ids are condensed in one pass
+//!    ([`CsrGraph::from_ids`]) into its frozen access graph and per-item
+//!    access counts — the exact structure every placement algorithm
+//!    consumes. Ids are remapped densely in first-appearance order (the
+//!    order `Trace::normalize` assigns), so no `Trace` and no
+//!    `AccessGraph` is built to key a workload.
+//! 2. That CSR is hashed with [`fn@dwm_graph::fingerprint_csr`], with
+//!    the request's track topology folded in
+//!    ([`fn@dwm_graph::fingerprint_retag`], the identity for linear);
+//!    the `(fingerprint, algorithm, seed)` triple keys the
+//!    [`SolveCache`]. A hit is answered from this key alone.
 //! 3. Cache misses within one request are batched onto the
 //!    [`par`] pool — results come back in input order, so the
-//!    response body is independent of `DWM_THREADS`.
+//!    response body is independent of `DWM_THREADS`. Tiers 0 and 1
+//!    solve and cost straight on the CSR. An `AccessGraph` is thawed
+//!    from it ([`AccessGraph::from_csr`]) only inside a miss's own task
+//!    for a named `algorithm`, tier 2 or `quality:"exact"`, and inside
+//!    a queued `quality:"best"` upgrade — never on a hit.
 //! 4. Per-request wall-clock time is attached as the
 //!    `x-dwm-elapsed-us` header, never in the body, keeping bodies a
 //!    pure function of the request.
@@ -56,14 +63,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dwm_core::algorithms::standard_suite;
-use dwm_core::anytime::{self, AnytimeOutcome, AnytimeSolver, Quality, Tier, TierPlan};
+use dwm_core::anytime::{self, AnytimeSolver, Quality, Tier, TierPlan};
 use dwm_core::{CostModel, MultiPortCost, Placement, PlacementAlgorithm, TopologyCost};
 use dwm_device::{DeviceConfig, Topology, TopologyKind, TrackTopology};
 use dwm_foundation::json::{Number, Object, ToJson, Value};
 use dwm_foundation::net::{Request, Response};
 use dwm_foundation::obs::{self, FnKind};
 use dwm_foundation::par;
-use dwm_graph::{fingerprint, fingerprint_topology, AccessGraph};
+use dwm_graph::{
+    fingerprint, fingerprint_csr, fingerprint_retag, AccessGraph, CsrGraph, Fingerprint,
+};
 use dwm_sim::SpmSimulator;
 use dwm_trace::Trace;
 
@@ -82,6 +91,14 @@ pub const ANYTIME_ALGORITHM: &str = "anytime";
 
 /// The header carrying per-request wall-clock time in microseconds.
 pub const ELAPSED_HEADER: &str = "x-dwm-elapsed-us";
+
+/// One `/solve` workload after keying: its frozen access graph and
+/// per-item access counts, built in one pass from the raw ids
+/// ([`CsrGraph::from_ids`]). Everything a miss needs to solve.
+struct Workload {
+    csr: CsrGraph,
+    frequencies: Vec<u64>,
+}
 
 /// Capacity and lifetime knobs of an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -574,6 +591,27 @@ impl Engine {
         }
     }
 
+    /// Keys workload `i` of a `/solve` request: builds its graph in one
+    /// pass, checks that `topology` fits it, counts the topology solve,
+    /// and returns the graph with its topology-folded fingerprint (the
+    /// identity fold for linear — see
+    /// [`fn@dwm_graph::fingerprint_retag`]).
+    fn key_workload(
+        &self,
+        i: usize,
+        ids: &[u32],
+        topology: &Topology,
+    ) -> Result<(Workload, Fingerprint), ProtocolError> {
+        let (csr, frequencies) = CsrGraph::from_ids(ids);
+        topology
+            .validate_for(csr.num_items())
+            .map_err(|e| ProtocolError::bad_request(format!("workload {i}: {e}")))?;
+        self.topology_solves[topology.kind().index()].inc_always();
+        let fingerprint =
+            fingerprint_retag(fingerprint_csr(&csr, &frequencies), &topology.canonical());
+        Ok((Workload { csr, frequencies }, fingerprint))
+    }
+
     fn solve(&self, req: &Request) -> Result<Response, ProtocolError> {
         let obj = parse_body(&req.body)?;
         if let Some(knobs) = parse_tier_knobs(&obj)? {
@@ -596,16 +634,11 @@ impl Engine {
         // geometries never shares a cache record.
         let mut labels = Vec::with_capacity(workloads.len());
         let mut results: Vec<Option<Arc<Value>>> = Vec::with_capacity(workloads.len());
-        let mut misses: Vec<(usize, CacheKey, AccessGraph)> = Vec::new();
+        let mut misses: Vec<(usize, CacheKey, Workload)> = Vec::new();
         for (i, ids) in workloads.iter().enumerate() {
-            let trace = Trace::from_ids(ids.iter().copied()).normalize();
-            let graph = AccessGraph::from_trace(&trace);
-            topology
-                .validate_for(graph.num_items())
-                .map_err(|e| ProtocolError::bad_request(format!("workload {i}: {e}")))?;
-            self.topology_solves[topology.kind().index()].inc_always();
+            let (workload, fingerprint) = self.key_workload(i, ids, &topology)?;
             let key = CacheKey {
-                fingerprint: fingerprint_topology(&graph, &topology.canonical()),
+                fingerprint,
                 algorithm: algorithm.clone(),
                 seed,
             };
@@ -617,18 +650,20 @@ impl Engine {
                 None => {
                     labels.push("miss");
                     results.push(None);
-                    misses.push((i, key, graph));
+                    misses.push((i, key, workload));
                 }
             }
         }
 
         // Batch all misses in this request onto the worker pool;
         // par_map returns results in input order, so the response body
-        // is identical at any thread count.
-        let solved = par::par_map(&misses, |(_, key, graph)| {
+        // is identical at any thread count. Named algorithms consume an
+        // `AccessGraph`, thawed here, inside the miss's own task.
+        let solved = par::par_map(&misses, |(_, key, w)| {
             let algo =
                 resolve_algorithm(&key.algorithm, key.seed).expect("algorithm validated above");
-            let (value, cost) = solve_result(graph, key, algo.as_ref(), &topology);
+            let placement = algo.place(&AccessGraph::from_csr(&w.csr, &w.frequencies));
+            let (value, cost) = result_object(&w.csr, key, &placement, &topology);
             (Arc::new(value), cost)
         });
         for ((slot, key, _), (value, cost)) in misses.into_iter().zip(solved) {
@@ -669,15 +704,10 @@ impl Engine {
 
         let mut labels: Vec<Option<Value>> = Vec::with_capacity(workloads.len());
         let mut results: Vec<Option<Arc<Value>>> = Vec::with_capacity(workloads.len());
-        let mut misses: Vec<(usize, CacheKey, AccessGraph, TierPlan)> = Vec::new();
+        let mut misses: Vec<(usize, CacheKey, Workload, TierPlan)> = Vec::new();
         for (i, ids) in workloads.iter().enumerate() {
-            let trace = Trace::from_ids(ids.iter().copied()).normalize();
-            let graph = AccessGraph::from_trace(&trace);
-            topology
-                .validate_for(graph.num_items())
-                .map_err(|e| ProtocolError::bad_request(format!("workload {i}: {e}")))?;
-            self.topology_solves[topology.kind().index()].inc_always();
-            let (n, m) = (graph.num_items(), graph.num_edges());
+            let (workload, fingerprint) = self.key_workload(i, ids, &topology)?;
+            let (n, m) = (workload.csr.num_items(), workload.csr.num_edges());
             if knobs.quality == Quality::Exact && n > anytime::EXACT_PLAN_LIMIT {
                 return Err(ProtocolError::bad_request(format!(
                     "quality \"exact\" is limited to {} items; workload {i} touches {n}",
@@ -705,7 +735,7 @@ impl Engine {
                 }
             }
             let key = CacheKey {
-                fingerprint: fingerprint_topology(&graph, &topology.canonical()),
+                fingerprint,
                 algorithm: ANYTIME_ALGORITHM.to_owned(),
                 seed,
             };
@@ -722,7 +752,7 @@ impl Engine {
                     // label reports the truth, and `best` still queues
                     // an upgrade if the record isn't tier 2 yet.
                     if plan.upgrade && record.tier < Tier::Thorough.index() {
-                        self.schedule_upgrade(key, graph, seed, topology);
+                        self.schedule_upgrade(key, workload, seed, topology);
                     }
                     labels.push(Some(cache_label("hit", &record)));
                     results.push(Some(record.value));
@@ -730,19 +760,22 @@ impl Engine {
                 None => {
                     labels.push(None);
                     results.push(None);
-                    misses.push((i, key, graph, plan));
+                    misses.push((i, key, workload, plan));
                 }
             }
         }
 
         // Batch the misses exactly like the legacy path; each workload
-        // solves at its planned tier.
-        let solved = par::par_map(&misses, |(_, key, graph, plan)| {
-            let outcome = AnytimeSolver::new(seed).solve(graph, plan.tier, plan.passes);
-            let (value, cost) = anytime_result(graph, key, &outcome, &topology);
+        // solves at its planned tier, straight on the CSR (tiers 2 and
+        // 3 thaw an `AccessGraph` inside this task).
+        let solved = par::par_map(&misses, |(_, key, w, plan)| {
+            let outcome =
+                AnytimeSolver::new(seed).solve_csr(&w.csr, &w.frequencies, plan.tier, plan.passes);
+            let (value, cost) = result_object(&w.csr, key, &outcome.placement, &topology);
             (Arc::new(value), cost, outcome)
         });
-        for ((slot, key, graph, plan), (value, cost, outcome)) in misses.into_iter().zip(solved) {
+        for ((slot, key, workload, plan), (value, cost, outcome)) in misses.into_iter().zip(solved)
+        {
             self.tier_solves[usize::from(outcome.tier.index())].inc_always();
             let record = CacheRecord::fresh(
                 Arc::clone(&value),
@@ -753,7 +786,7 @@ impl Engine {
             labels[slot] = Some(cache_label("miss", &record));
             if plan.upgrade && outcome.tier != Tier::Thorough {
                 self.cache.insert(key.clone(), record);
-                self.schedule_upgrade(key, graph, seed, topology);
+                self.schedule_upgrade(key, workload, seed, topology);
             } else {
                 self.cache.insert(key, record);
             }
@@ -795,7 +828,7 @@ impl Engine {
     /// [`SolveCache::upgrade`], which only applies strict improvements.
     /// The lane is weighted by the record's cache-hit count, so when
     /// upgrades queue up, the hottest fingerprints upgrade first.
-    fn schedule_upgrade(&self, key: CacheKey, graph: AccessGraph, seed: u64, topology: Topology) {
+    fn schedule_upgrade(&self, key: CacheKey, workload: Workload, seed: u64, topology: Topology) {
         let Some(lane) = &self.lane else { return };
         {
             let mut inflight = self
@@ -811,9 +844,13 @@ impl Engine {
         let inflight = Arc::clone(&self.inflight_upgrades);
         let weight = self.cache.hit_count(&key);
         lane.submit_weighted(weight, move || {
-            let outcome =
-                AnytimeSolver::new(seed).solve(&graph, Tier::Thorough, anytime::MAX_PASSES);
-            let (value, cost) = anytime_result(&graph, &key, &outcome, &topology);
+            let outcome = AnytimeSolver::new(seed).solve_csr(
+                &workload.csr,
+                &workload.frequencies,
+                Tier::Thorough,
+                anytime::MAX_PASSES,
+            );
+            let (value, cost) = result_object(&workload.csr, &key, &outcome.placement, &topology);
             cache.upgrade(
                 &key,
                 Arc::new(value),
@@ -1183,49 +1220,25 @@ fn resolve_algorithm(name: &str, seed: u64) -> Option<Box<dyn PlacementAlgorithm
     standard_suite(seed).into_iter().find(|a| a.name() == name)
 }
 
-/// Builds the memoized result object for one solved workload,
-/// returning it with the placement's arrangement cost (the cache
-/// record needs the cost as its strict-improvement bar).
-fn solve_result(
-    graph: &AccessGraph,
-    key: &CacheKey,
-    algo: &dyn PlacementAlgorithm,
-    topology: &Topology,
-) -> (Value, u64) {
-    let placement = algo.place(graph);
-    result_object(graph, key, &placement, topology)
-}
-
-/// Builds the result object for one anytime-tier outcome. Same field
-/// set as the legacy form — tier and solver provenance live in the
-/// response's `cache` labels, not the body, so a background upgrade is
-/// observable only through the versioned `cache` field. The returned
-/// cost is the body's `cost` field, recomputed under the topology cost
-/// model so record costs and response bodies can never disagree.
-fn anytime_result(
-    graph: &AccessGraph,
-    key: &CacheKey,
-    outcome: &AnytimeOutcome,
-    topology: &Topology,
-) -> (Value, u64) {
-    result_object(graph, key, &outcome.placement, topology)
-}
-
-/// The per-workload result body shared by legacy and tiered solves.
-/// Costs come from a single-port [`TopologyCost`], whose linear case is
-/// pinned byte-identical to the pre-topology `SinglePortCost`; the
+/// The per-workload result body shared by legacy and tiered solves,
+/// returned with the placement's cost (the cache record needs it as
+/// its strict-improvement bar). Costs come from a single-port
+/// [`TopologyCost`] over the CSR's edges, whose linear case is pinned
+/// byte-identical to the pre-topology `SinglePortCost`, so record
+/// costs and response bodies can never disagree. Tier and solver
+/// provenance live in the response's `cache` labels, not here; the
 /// `topology` field appears only for non-linear requests, so legacy
 /// bodies (and explicit `"topology":"linear"` ones) are unchanged.
 fn result_object(
-    graph: &AccessGraph,
+    csr: &CsrGraph,
     key: &CacheKey,
     placement: &Placement,
     topology: &Topology,
 ) -> (Value, u64) {
-    let n = graph.num_items();
+    let n = csr.num_items();
     let cost_model = TopologyCost::single_port(*topology, n);
-    let naive = cost_model.graph_cost(&Placement::identity(n), graph);
-    let cost = cost_model.graph_cost(placement, graph);
+    let naive = cost_model.edges_cost(&Placement::identity(n), csr.edges());
+    let cost = cost_model.edges_cost(placement, csr.edges());
     let reduction = if naive > 0 {
         ((naive - naive.min(cost)) as f64) * 100.0 / naive as f64
     } else {
@@ -1239,7 +1252,7 @@ fn result_object(
         obj.insert("topology", Value::Str(topology.canonical()));
     }
     obj.insert("items", Value::Num(Number::U(n as u64)));
-    obj.insert("edges", Value::Num(Number::U(graph.num_edges() as u64)));
+    obj.insert("edges", Value::Num(Number::U(csr.num_edges() as u64)));
     obj.insert("naive_cost", Value::Num(Number::U(naive)));
     obj.insert("cost", Value::Num(Number::U(cost)));
     obj.insert("reduction_percent", Value::Num(Number::F(reduction)));
@@ -1302,6 +1315,51 @@ mod tests {
             obj.get("requests").unwrap().as_number().unwrap().as_u64(),
             Some(2)
         );
+    }
+
+    /// This process's peak resident set in KiB (`VmHWM`), where procfs
+    /// exposes it.
+    fn peak_rss_kib() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+        line.trim().trim_end_matches("kB").trim().parse().ok()
+    }
+
+    #[test]
+    fn sparse_ids_up_to_u32_max_key_in_bounded_memory() {
+        // Raw ids come from outside the program, so keying must never
+        // allocate in proportion to the largest id (a flat table over
+        // ids up to u32::MAX would be 16 GiB). Both bodies are pinned
+        // byte for byte to the normalize → AccessGraph keying route.
+        let before = peak_rss_kib();
+        let legacy = engine().handle(&Request::post(
+            "/solve",
+            r#"{"ids":[4294967295,0,4294967295,7]}"#,
+        ));
+        let tiered = engine().handle(&Request::post(
+            "/solve",
+            r#"{"quality":"balanced","ids":[4294967295,0,4294967295,7]}"#,
+        ));
+        let result = |algorithm: &str| {
+            format!(
+                r#"{{"fingerprint":"0b852632f5d4198532d370dfa6289600","algorithm":"{algorithm}","seed":1,"items":3,"edges":2,"naive_cost":4,"cost":3,"reduction_percent":25.0,"placement":[1,0,2]}}"#
+            )
+        };
+        assert_eq!(
+            legacy.body_str().unwrap(),
+            format!(r#"{{"cache":["miss"],"results":[{}]}}"#, result("hybrid"))
+        );
+        assert_eq!(
+            tiered.body_str().unwrap(),
+            format!(
+                r#"{{"cache":[{{"status":"miss","tier":1,"solver":"windowed-ls","version":1,"upgrades":0}}],"results":[{}]}}"#,
+                result("anytime")
+            )
+        );
+        if let (Some(before), Some(after)) = (before, peak_rss_kib()) {
+            let grown = after.saturating_sub(before);
+            assert!(grown < 256 * 1024, "peak RSS grew by {grown} KiB");
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!
 //! `ids` is the access sequence as item ids (reads; the placement
 //! problem is read/write agnostic). Workloads are canonicalized server-
-//! side (`Trace::normalize`), so two id sequences with the same
-//! canonical access graph share a cache entry.
+//! side (ids remapped densely in first-appearance order, then condensed
+//! to their access graph by `CsrGraph::from_ids`), so two id sequences
+//! with the same canonical access graph share a cache entry.
 
 use dwm_core::anytime::Quality;
 use dwm_device::Topology;

@@ -47,6 +47,13 @@ if [[ "$MODE" == "--tests-only" ]]; then
   exit 0
 fi
 
+# The end-to-end benchmark is a workspace of its own, built against the
+# crates by path: building and testing it here turns a break in the
+# public API it calls into a CI failure, not a benchmark that refuses
+# to run.
+echo "== perfbench build + unit tests"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== README quickstart smoke"
 bash scripts/doc_smoke.sh
 

@@ -19,6 +19,7 @@ use dwm_placement::core::algorithms::TraceRefiner;
 use dwm_placement::core::cost::CostModel;
 use dwm_placement::core::online::{OnlineConfig, OnlinePlacer};
 use dwm_placement::core::partition::{Objective, Partitioner};
+use dwm_placement::graph::fingerprint_csr;
 use dwm_placement::graph::generators::{clustered_graph, random_graph};
 use dwm_placement::prelude::*;
 use dwm_placement::trace::kernels::Kernel;
@@ -193,4 +194,130 @@ fn solver_outputs_match_pre_csr_goldens_at_1_thread() {
 fn solver_outputs_match_pre_csr_goldens_at_8_threads() {
     let _guard = ENV_LOCK.lock().unwrap();
     with_threads(8, || check_against_golden("DWM_THREADS=8"));
+}
+
+// One-pass keying: `CsrGraph::from_ids` and the CSR-fed solve paths must
+// agree exactly with the `Trace::normalize` → `AccessGraph::from_trace`
+// → `CsrGraph::freeze` route they replace on `/solve`.
+
+/// Raw ids of a generated trace (generators emit dense ids, which the
+/// one-pass builder must treat like any other raw ids).
+fn raw_ids(trace: &Trace) -> Vec<u32> {
+    trace.iter().map(|a| a.item.0).collect()
+}
+
+/// Seeded raw id sequences covering the edge cases of one-pass keying:
+/// a single repeated id (no transitions), a graph small enough for the
+/// exact tiers, one item either side of the `n ≤ 64` cut-mask limit, sparse ids spanning the whole `u32` range,
+/// and the generator traces the service workloads are drawn from.
+fn keying_inputs() -> Vec<(String, Vec<u32>)> {
+    let mut rng = dwm_foundation::Rng::seed_from_u64(0xC5B_1D5);
+    let mut out: Vec<(String, Vec<u32>)> = vec![
+        ("single repeated id".into(), vec![42; 100]),
+        ("single access".into(), vec![u32::MAX]),
+    ];
+    for n in [10u32, 64, 65] {
+        // A shuffled sweep guarantees all n items appear; random
+        // accesses (with repeats, i.e. self-transitions) follow.
+        let mut ids: Vec<u32> = (0..n).collect();
+        rng.shuffle(&mut ids);
+        ids.extend((0..40 * n).map(|_| rng.gen_range(0..n)));
+        out.push((format!("n={n}"), ids));
+    }
+    let mut raw = vec![u32::MAX, 0, u32::MAX - 1, 1 << 31];
+    while raw.len() < 48 {
+        raw.push(rng.next_u32());
+    }
+    let sparse = (0..3000)
+        .map(|_| raw[rng.gen_range(0..raw.len())])
+        .collect();
+    out.push(("sparse ids up to u32::MAX".into(), sparse));
+    out.push((
+        "markov".into(),
+        raw_ids(&MarkovGen::new(128, 8, 0xC01D).generate(8000)),
+    ));
+    out.push((
+        "zipf golden".into(),
+        raw_ids(&ZipfGen::new(16, 7).generate(500)),
+    ));
+    out
+}
+
+/// The route one-pass keying replaces.
+fn reference_graph(ids: &[u32]) -> AccessGraph {
+    AccessGraph::from_trace(&Trace::from_ids(ids.iter().copied()).normalize())
+}
+
+#[test]
+fn csr_from_ids_matches_the_normalize_and_freeze_route() {
+    for (name, ids) in keying_inputs() {
+        let graph = reference_graph(&ids);
+        let (csr, frequencies) = CsrGraph::from_ids(&ids);
+        assert_eq!(csr, CsrGraph::freeze(&graph), "{name}: CSR differs");
+        assert_eq!(frequencies, graph.frequencies(), "{name}: frequencies");
+        assert_eq!(
+            fingerprint_csr(&csr, &frequencies),
+            fingerprint(&graph),
+            "{name}: fingerprint"
+        );
+        assert_eq!(
+            AccessGraph::from_csr(&csr, &frequencies),
+            graph,
+            "{name}: thawed graph differs"
+        );
+    }
+}
+
+#[test]
+fn csr_from_ids_reproduces_the_pinned_fingerprint() {
+    // The golden pinned by `dwm_graph::fingerprint`'s own tests, reached
+    // through the one-pass builder instead of the AccessGraph route.
+    let ids = raw_ids(&ZipfGen::new(16, 7).generate(500));
+    let (csr, frequencies) = CsrGraph::from_ids(&ids);
+    assert_eq!(
+        fingerprint_csr(&csr, &frequencies).to_hex(),
+        "d711d2669b304ba39425ee4d803d5b8c"
+    );
+}
+
+#[test]
+fn csr_fed_solves_and_costs_match_the_access_graph_ones() {
+    for (name, ids) in keying_inputs() {
+        let graph = reference_graph(&ids);
+        let (csr, frequencies) = CsrGraph::from_ids(&ids);
+        let n = graph.num_items();
+        let grouped = GroupedChainGrowth.place(&graph);
+        assert_eq!(
+            GroupedChainGrowth.place_csr(&csr, &frequencies),
+            grouped,
+            "{name}: grouped-chain"
+        );
+        let side = (1..).find(|s| s * s >= n.max(1)).expect("a square fits");
+        for spec in ["linear", "ring", &format!("grid2d:{side}x{side}"), "pirm:4"] {
+            let model = TopologyCost::single_port(Topology::parse(spec).unwrap(), n);
+            for p in [&Placement::identity(n), &grouped] {
+                assert_eq!(
+                    model.edges_cost(p, csr.edges()),
+                    model.graph_cost(p, &graph),
+                    "{name}: {spec} cost"
+                );
+            }
+        }
+        // Tier 2 and exact are the slow portfolio; the small inputs
+        // cover their thaw-from-CSR path.
+        let tiers: &[Tier] = if n <= 12 {
+            &Tier::ALL
+        } else {
+            &[Tier::Fast, Tier::Refined]
+        };
+        for &tier in tiers {
+            let solver = AnytimeSolver::new(3);
+            assert_eq!(
+                solver.solve_csr(&csr, &frequencies, tier, 6),
+                solver.solve(&graph, tier, 6),
+                "{name}: {}",
+                tier.label()
+            );
+        }
+    }
 }
